@@ -1,7 +1,7 @@
 //! Kernel execution — the `!$acc parallel loop` substitute.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mfc_trace::{Category, LedgerRow, SpanGuard, TraceHandle};
@@ -9,11 +9,12 @@ use mfc_trace::{Category, LedgerRow, SpanGuard, TraceHandle};
 use crate::config::LaunchConfig;
 use crate::cost::KernelCost;
 use crate::ledger::Ledger;
+use crate::pool::GangPool;
 use crate::vector::{validate_width, Lane, LaneGangBody, LaneKernel, LaneMaxKernel, DEFAULT_WIDTH};
 use crate::with_lane_width;
 
 /// Below this many work items a parallel launch falls back to the serial
-/// loop: the fork/join overhead of scoped threads would dominate.
+/// loop: the fork/join overhead of waking the gang pool would dominate.
 pub const PAR_MIN_ITEMS: usize = 1024;
 
 /// An execution context: one "device" plus its profiling ledger.
@@ -22,12 +23,16 @@ pub const PAR_MIN_ITEMS: usize = 1024;
 /// ([`Context::launch_par`], [`Context::launch_chunks`],
 /// [`Context::launch_max`]) split the collapsed iteration space into
 /// contiguous blocks, one per worker (gangs ≙ blocks, vector lanes ≙ the
-/// iterations inside a block); with a single worker every loop runs
-/// serially — the paper's "compiled without OpenACC" CPU path.
+/// iterations inside a block), and run them on a persistent gang pool
+/// shared by every clone of the context; with a single worker every loop
+/// runs serially — the paper's "compiled without OpenACC" CPU path.
 #[derive(Clone)]
 pub struct Context {
     ledger: Arc<Ledger>,
     workers: usize,
+    /// Resident gangs: `workers − 1` parked helper threads (spawned on
+    /// first use, joined when the last clone drops).
+    pool: Arc<GangPool>,
     /// Lane width of the vector entry points ([`Context::launch_vec`] and
     /// friends); validated power of two ≤ `vector::MAX_WIDTH`. Results
     /// are bitwise identical at every width by the [`Lane`] contract.
@@ -62,6 +67,7 @@ impl Context {
         Context {
             ledger: Arc::new(Ledger::new()),
             workers: workers.max(1),
+            pool: Arc::new(GangPool::new()),
             vector_width: DEFAULT_WIDTH,
             lane_packets: Arc::new(AtomicU64::new(0)),
             lane_tail: Arc::new(AtomicU64::new(0)),
@@ -113,7 +119,8 @@ impl Context {
     /// Gang partitioning is a pure function of the count and results are
     /// bitwise identical at every count, so a scheduler may resize a live
     /// context between launches (e.g. at solver step boundaries) without
-    /// perturbing numerics. Re-emits the `threads` counter when a tracer
+    /// perturbing numerics. Growing the count grows the gang pool at the
+    /// next parallel launch. Re-emits the `threads` counter when a tracer
     /// is attached so the timeline records the resize.
     pub fn set_workers(&mut self, workers: usize) {
         let workers = workers.max(1);
@@ -333,17 +340,13 @@ impl Context {
     /// gangs` leading blocks carry one extra item, so the decomposition is
     /// a pure function of `(n, workers)` — never of scheduling.
     pub fn gang_blocks(&self, n: usize) -> Vec<(usize, usize)> {
-        let threads = self.workers.min(n.max(1));
-        let base = n / threads;
-        let extra = n % threads;
-        let mut out = Vec::with_capacity(threads);
-        let mut start = 0;
-        for t in 0..threads {
-            let len = base + usize::from(t < extra);
-            out.push((start, start + len));
-            start += len;
-        }
-        out
+        let gangs = self.workers.min(n.max(1));
+        (0..gangs)
+            .map(|g| {
+                let r = gang_range(n, gangs, g);
+                (r.start, r.end)
+            })
+            .collect()
     }
 
     /// Launch a kernel over a collapsed iteration space of `n` items,
@@ -379,26 +382,7 @@ impl Context {
         F: Fn(usize) + Sync,
     {
         let t0 = Instant::now();
-        let gangs = if self.workers > 1 && n >= PAR_MIN_ITEMS {
-            let body = &body;
-            let blocks = self.gang_blocks(n);
-            let gangs = blocks.len();
-            std::thread::scope(|s| {
-                for (lo, hi) in blocks {
-                    s.spawn(move || {
-                        for i in lo..hi {
-                            body(i);
-                        }
-                    });
-                }
-            });
-            gangs
-        } else {
-            for i in 0..n {
-                body(i);
-            }
-            1
-        };
+        let (_, gangs) = self.gang_scope(n, n as u64, |_, range| range.for_each(&body));
         self.record(cfg, cost, n as u64, gangs, t0);
     }
 
@@ -431,74 +415,39 @@ impl Context {
         );
         let n = out.len() / chunk_len;
         let t0 = Instant::now();
-        let gangs = if self.workers > 1 && out.len() >= PAR_MIN_ITEMS && n > 1 {
-            // One contiguous run of whole chunks per worker.
-            let body = &body;
-            let blocks = self.gang_blocks(n);
-            let gangs = blocks.len();
-            std::thread::scope(|s| {
-                let mut rest = out;
-                let mut first = 0;
-                for (lo, hi) in blocks {
-                    let (mine, tail) = rest.split_at_mut((hi - lo) * chunk_len);
-                    rest = tail;
-                    s.spawn(move || {
-                        for (off, c) in mine.chunks_exact_mut(chunk_len).enumerate() {
-                            body(lo + off, c);
-                        }
-                    });
-                    first += hi - lo;
-                }
-                debug_assert_eq!(first, n);
-            });
-            gangs
-        } else {
-            for (i, c) in out.chunks_exact_mut(chunk_len).enumerate() {
-                body(i, c);
+        // One contiguous run of whole chunks per gang.
+        let gangs = self.gang_count(n, out.len() as u64);
+        let mut parts = Vec::with_capacity(gangs);
+        let mut rest = out;
+        for g in 0..gangs {
+            let (mine, tail) = rest.split_at_mut(gang_range(n, gangs, g).len() * chunk_len);
+            parts.push(mine);
+            rest = tail;
+        }
+        self.fork(n, gangs, &mut parts, |_, range, mine| {
+            for (off, c) in mine.chunks_exact_mut(chunk_len).enumerate() {
+                body(range.start + off, c);
             }
-            1
-        };
+        });
         self.record(cfg, cost, n as u64, gangs, t0);
     }
 
     /// Launch a reduction kernel returning the maximum of the body over the
     /// iteration space (used for the CFL time-step bound).
     ///
-    /// The parallel path reduces each contiguous block on its own worker
-    /// and then folds the per-block maxima in block order; since `max` is
-    /// associative and commutative this is bitwise-identical to the serial
-    /// fold for any worker count.
+    /// Each gang reduces its contiguous block and the per-gang maxima fold
+    /// in gang order; since `max` is associative and commutative this is
+    /// bitwise-identical to the serial fold for any worker count.
     pub fn launch_max<F>(&self, cfg: &LaunchConfig, cost: KernelCost, n: usize, body: F) -> f64
     where
         F: Fn(usize) -> f64 + Sync,
     {
         let t0 = Instant::now();
-        let (result, gangs) = if self.workers > 1 && n >= PAR_MIN_ITEMS {
-            let body = &body;
-            let blocks = self.gang_blocks(n);
-            let partials: Vec<AtomicU64> = blocks
-                .iter()
-                .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
-                .collect();
-            std::thread::scope(|s| {
-                for (b, &(lo, hi)) in blocks.iter().enumerate() {
-                    let slot = &partials[b];
-                    s.spawn(move || {
-                        let m = (lo..hi).map(body).fold(f64::NEG_INFINITY, f64::max);
-                        slot.store(m.to_bits(), Ordering::Relaxed);
-                    });
-                }
-            });
-            let m = partials
-                .iter()
-                .map(|a| f64::from_bits(a.load(Ordering::Relaxed)))
-                .fold(f64::NEG_INFINITY, f64::max);
-            (m, blocks.len())
-        } else {
-            ((0..n).map(&body).fold(f64::NEG_INFINITY, f64::max), 1)
-        };
+        let (partials, gangs) = self.gang_scope(n, n as u64, |_, range| {
+            range.map(&body).fold(f64::NEG_INFINITY, f64::max)
+        });
         self.record(cfg, cost, n as u64, gangs, t0);
-        result
+        partials.into_iter().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Launch a lane-vectorized kernel over a `rows × row_len` space —
@@ -524,32 +473,13 @@ impl Context {
     ) {
         let t0 = Instant::now();
         let w = self.vector_width;
-        let gangs = with_lane_width!(w, L => self.run_vec::<L, K>(rows, row_len, kernel));
-        self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
-        self.record_vec(cfg, cost, (rows * row_len) as u64, gangs, t0);
-    }
-
-    fn run_vec<L: Lane, K: LaneKernel>(&self, rows: usize, row_len: usize, kernel: &K) -> usize {
-        let n = rows * row_len;
-        if self.workers > 1 && rows > 1 && n >= PAR_MIN_ITEMS {
-            let blocks = self.gang_blocks(rows);
-            let gangs = blocks.len();
-            std::thread::scope(|s| {
-                for (lo, hi) in blocks {
-                    s.spawn(move || {
-                        for row in lo..hi {
-                            vec_row::<L, K>(kernel, row, row_len);
-                        }
-                    });
-                }
-            });
-            gangs
-        } else {
-            for row in 0..rows {
+        let gangs = with_lane_width!(w, L => self.gang_scope(rows, (rows * row_len) as u64, |_, range| {
+            for row in range {
                 vec_row::<L, K>(kernel, row, row_len);
             }
-            1
-        }
+        }).1);
+        self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
+        self.record_vec(cfg, cost, (rows * row_len) as u64, gangs, t0);
     }
 
     /// Lane-vectorized max reduction over a `rows × row_len` space (the
@@ -568,50 +498,12 @@ impl Context {
     ) -> f64 {
         let t0 = Instant::now();
         let w = self.vector_width;
-        let (result, gangs) =
-            with_lane_width!(w, L => self.run_max_vec::<L, K>(rows, row_len, kernel));
+        let (partials, gangs) = with_lane_width!(w, L => self.gang_scope(rows, (rows * row_len) as u64, |_, range| {
+            range.fold(f64::NEG_INFINITY, |m, row| max_vec_row::<L, K>(kernel, row, row_len, m))
+        }));
         self.note_lane_tiling((rows * (row_len / w)) as u64, (rows * (row_len % w)) as u64);
         self.record_vec(cfg, cost, (rows * row_len) as u64, gangs, t0);
-        result
-    }
-
-    fn run_max_vec<L: Lane, K: LaneMaxKernel>(
-        &self,
-        rows: usize,
-        row_len: usize,
-        kernel: &K,
-    ) -> (f64, usize) {
-        let n = rows * row_len;
-        if self.workers > 1 && rows > 1 && n >= PAR_MIN_ITEMS {
-            let blocks = self.gang_blocks(rows);
-            let partials: Vec<AtomicU64> = blocks
-                .iter()
-                .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
-                .collect();
-            std::thread::scope(|s| {
-                for (b, &(lo, hi)) in blocks.iter().enumerate() {
-                    let slot = &partials[b];
-                    s.spawn(move || {
-                        let mut m = f64::NEG_INFINITY;
-                        for row in lo..hi {
-                            m = max_vec_row::<L, K>(kernel, row, row_len, m);
-                        }
-                        slot.store(m.to_bits(), Ordering::Relaxed);
-                    });
-                }
-            });
-            let m = partials
-                .iter()
-                .map(|a| f64::from_bits(a.load(Ordering::Relaxed)))
-                .fold(f64::NEG_INFINITY, f64::max);
-            (m, blocks.len())
-        } else {
-            let mut m = f64::NEG_INFINITY;
-            for row in 0..rows {
-                m = max_vec_row::<L, K>(kernel, row, row_len, m);
-            }
-            (m, 1)
-        }
+        partials.into_iter().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Lane-dispatching form of [`Context::gang_scope_with`]: the body is
@@ -640,12 +532,13 @@ impl Context {
     }
 
     /// Split `0..n` into gang blocks and run `body(gang, lo..hi, state)`
-    /// on one scoped thread per gang, with per-gang mutable `state` (the
-    /// per-worker scratch blocks of the fused sweep) and per-gang return
-    /// values collected **in gang order**. Runs serially — same mapping,
-    /// one gang — when the context has one worker, `n < 2`, or
-    /// `work_items < PAR_MIN_ITEMS` (callers pass the true collapsed item
-    /// count, which may exceed `n` units by a large per-unit factor).
+    /// once per gang on the context's persistent gang pool, with per-gang
+    /// mutable `state` (the per-worker scratch blocks of the fused sweep)
+    /// and per-gang return values collected **in gang order**. Runs
+    /// serially — same mapping, one gang — when the context has one
+    /// worker, `n < 2`, or `work_items < PAR_MIN_ITEMS` (callers pass the
+    /// true collapsed item count, which may exceed `n` units by a large
+    /// per-unit factor).
     ///
     /// Returns `(per-gang results, gang count)`. Because the gang→range
     /// mapping is the fixed [`Context::gang_blocks`] partition and results
@@ -666,34 +559,8 @@ impl Context {
         R: Send,
         F: Fn(usize, std::ops::Range<usize>, &mut S) -> R + Sync,
     {
-        if self.workers > 1 && n > 1 && work_items >= PAR_MIN_ITEMS as u64 {
-            let blocks = self.gang_blocks(n);
-            let gangs = blocks.len();
-            assert!(
-                state.len() >= gangs,
-                "gang_scope_with: {} state blocks for {} gangs",
-                state.len(),
-                gangs
-            );
-            let body = &body;
-            let mut results: Vec<Option<R>> = Vec::with_capacity(gangs);
-            results.resize_with(gangs, || None);
-            std::thread::scope(|s| {
-                for ((g, (lo, hi)), (st, slot)) in blocks
-                    .into_iter()
-                    .enumerate()
-                    .zip(state.iter_mut().zip(results.iter_mut()))
-                {
-                    s.spawn(move || {
-                        *slot = Some(body(g, lo..hi, st));
-                    });
-                }
-            });
-            (results.into_iter().map(|r| r.unwrap()).collect(), gangs)
-        } else {
-            assert!(!state.is_empty(), "gang_scope_with: empty state");
-            (vec![body(0, 0..n, &mut state[0])], 1)
-        }
+        let gangs = self.gang_count(n, work_items);
+        (self.fork(n, gangs, state, body), gangs)
     }
 
     /// Stateless form of [`Context::gang_scope_with`].
@@ -702,7 +569,7 @@ impl Context {
         R: Send,
         F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
     {
-        let mut state = vec![(); self.workers.max(1)];
+        let mut state = vec![(); self.workers];
         self.gang_scope_with(n, work_items, &mut state, |g, range, _| body(g, range))
     }
 
@@ -726,6 +593,63 @@ impl Context {
         self.record(cfg, cost, n as u64, gangs, t0);
         results
     }
+
+    /// Gangs a launch over `n` units carrying `work_items` collapsed items
+    /// runs with: one below the [`PAR_MIN_ITEMS`] grain or on a serial
+    /// context, else one per worker (at most one per unit).
+    fn gang_count(&self, n: usize, work_items: u64) -> usize {
+        if self.workers > 1 && n > 1 && work_items >= PAR_MIN_ITEMS as u64 {
+            self.workers.min(n)
+        } else {
+            1
+        }
+    }
+
+    /// Run `body(g, gang_range(n, gangs, g), &mut state[g])` for every
+    /// gang on the pool and return the results in gang order. Every
+    /// parallel entry point forks here.
+    fn fork<S, R, F>(&self, n: usize, gangs: usize, state: &mut [S], body: F) -> Vec<R>
+    where
+        S: Send,
+        R: Send,
+        F: Fn(usize, std::ops::Range<usize>, &mut S) -> R + Sync,
+    {
+        assert!(
+            state.len() >= gangs.max(1),
+            "{} state blocks for {} gangs",
+            state.len(),
+            gangs
+        );
+        if gangs == 1 {
+            return vec![body(0, 0..n, &mut state[0])];
+        }
+        // One lock per gang, each taken once by its own gang: hands every
+        // gang exclusive use of its state and result slot.
+        let slots: Vec<Mutex<(&mut S, Option<R>)>> = state[..gangs]
+            .iter_mut()
+            .map(|st| Mutex::new((st, None)))
+            .collect();
+        self.pool.run(gangs, &|g| {
+            let mut slot = slots[g].lock().expect("a gang slot is locked once");
+            let (st, out) = &mut *slot;
+            *out = Some(body(g, gang_range(n, gangs, g), st));
+        });
+        slots
+            .into_iter()
+            .map(|m| {
+                let (_, out) = m.into_inner().expect("gangs completed without panicking");
+                out.expect("every gang ran")
+            })
+            .collect()
+    }
+}
+
+/// Block `g` of the fixed partition of `0..n` into `gangs` contiguous
+/// blocks: the `n % gangs` leading blocks carry one extra item.
+fn gang_range(n: usize, gangs: usize, g: usize) -> std::ops::Range<usize> {
+    let (base, extra) = (n / gangs, n % gangs);
+    let lo = g * base + g.min(extra);
+    lo..lo + base + usize::from(g < extra)
 }
 
 /// One row of a vector launch: full packets, then the scalar tail as
@@ -987,6 +911,111 @@ mod tests {
             );
         });
         assert_eq!(serial, 1, "serial context must not fork");
+    }
+
+    #[test]
+    fn gang_panic_reaches_the_caller_and_the_pool_keeps_working() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let ctx = Context::with_workers(3);
+        let n = 3 * PAR_MIN_ITEMS;
+        // A panic on the calling thread's gang, then on a helper's.
+        for bad in [0, n - 1] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                ctx.launch_par(&LaunchConfig::tuned("boom"), cost(), n, |i| {
+                    assert_ne!(i, bad, "gang body panic");
+                });
+            }));
+            assert!(caught.is_err(), "panic at item {bad} was swallowed");
+            let seen: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            ctx.launch_par(&LaunchConfig::tuned("after"), cost(), n, |i| {
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn nested_launch_runs_inline_and_matches_serial() {
+        let n = 2 * PAR_MIN_ITEMS;
+        let body = |i: usize| ((i as f64) * 0.377).cos() * 7.0 + (i % 29) as f64;
+        let want = Context::serial().launch_max(&LaunchConfig::tuned("m"), cost(), n, body);
+        let ctx = Context::with_workers(4);
+        let inner = ctx.launch_gangs(&LaunchConfig::tuned("outer"), cost(), n, |_, _| {
+            let me = std::thread::current().id();
+            let threads = AtomicU32::new(0);
+            let m = ctx.launch_max(&LaunchConfig::tuned("m"), cost(), n, |i| {
+                if std::thread::current().id() != me {
+                    threads.fetch_add(1, Ordering::Relaxed);
+                }
+                body(i)
+            });
+            (m.to_bits(), threads.into_inner())
+        });
+        assert_eq!(inner.len(), 4);
+        for (bits, foreign) in inner {
+            assert_eq!(bits, want.to_bits());
+            assert_eq!(foreign, 0, "a nested launch left its calling thread");
+        }
+    }
+
+    #[test]
+    fn concurrent_clones_both_get_correct_results() {
+        use std::sync::Barrier;
+        let chunk = 16;
+        let n = 4 * PAR_MIN_ITEMS;
+        let fill = |salt: usize| {
+            move |i: usize, c: &mut [f64]| {
+                for (j, v) in c.iter_mut().enumerate() {
+                    *v = ((i * 31 + j * 7 + salt) % 1013) as f64 * 0.5;
+                }
+            }
+        };
+        let serial = |salt: usize| {
+            let mut out = vec![0.0f64; n];
+            Context::serial().launch_chunks(
+                &LaunchConfig::tuned("c"),
+                cost(),
+                &mut out,
+                chunk,
+                fill(salt),
+            );
+            out
+        };
+        let ctx = Context::with_workers(2);
+        let b = ctx.clone();
+        let (inside, done) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let tb = {
+            let (inside, done) = (Arc::clone(&inside), Arc::clone(&done));
+            std::thread::spawn(move || {
+                inside.wait();
+                let mut out = vec![0.0f64; n];
+                b.launch_chunks(&LaunchConfig::tuned("c"), cost(), &mut out, chunk, fill(2));
+                done.wait();
+                out
+            })
+        };
+        // This thread holds the pool: its gang 0 waits until the other
+        // clone has finished a whole launch, which therefore overlapped
+        // this fork.
+        let mut got_a = vec![0.0f64; n];
+        let f = fill(1);
+        ctx.launch_chunks(
+            &LaunchConfig::tuned("c"),
+            cost(),
+            &mut got_a,
+            chunk,
+            |i, c| {
+                if i == 0 {
+                    inside.wait();
+                    done.wait();
+                }
+                f(i, c);
+            },
+        );
+        let got_b = tb.join().unwrap();
+        assert_eq!(got_a, serial(1));
+        assert_eq!(got_b, serial(2));
+        assert_eq!(ctx.ledger().kernel("c").unwrap().launches, 2);
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //!   whether `private` arrays are compile-time sized (§III-C/D).
 //! * [`Context::launch`] executes a kernel body over a collapsed iteration
 //!   space serially (the "CPU build without OpenACC" path the paper keeps
-//!   working); `launch_par`/`launch_chunks`/`launch_max` split the space
-//!   across worker threads. All of them record wall time plus
-//!   caller-declared FLOP/byte counts in a [`Ledger`].
+//!   working); `launch_par`/`launch_chunks`/`launch_max` and the vector
+//!   and gang-scope entry points split the space into gangs. Gangs run
+//!   on a persistent pool the context owns, as resident device gangs
+//!   would: the launching thread runs gang 0 and `workers − 1` parked
+//!   helper threads — spawned on first use, joined when the last clone of
+//!   the context drops — run the rest; a launch nested in a gang body, or
+//!   one that finds the pool busy, runs its gangs inline. All of them
+//!   record wall time plus caller-declared FLOP/byte counts in a
+//!   [`Ledger`].
 //! * [`DeviceBuffer`] reproduces OpenACC data regions: `enter data`,
 //!   `update device/host`, `host_data use_device`.  Host and "device" are
 //!   the same memory here, so the copies are ledger entries rather than
@@ -27,6 +33,7 @@ pub mod cost;
 pub mod data;
 pub mod exec;
 pub mod ledger;
+mod pool;
 pub mod queue;
 pub mod report;
 pub mod shared;

@@ -4,7 +4,9 @@
 //! so edge/corner ghost regions are filled consistently by the sequence of
 //! sweeps — the same strategy as MFC's `s_populate_variables_buffers`.
 
-use mfc_acc::{Context, KernelClass, KernelCost, LaunchConfig};
+use std::time::Instant;
+
+use mfc_acc::{Context, KernelClass, KernelCost, ParSlice};
 use serde::{Deserialize, Serialize};
 
 use crate::state::StateField;
@@ -76,7 +78,9 @@ pub fn apply_bcs(ctx: &Context, field: &mut StateField, bc: &BcSpec, skip: [(boo
     let dom = *field.domain();
     let ng = dom.ng;
     let neq = dom.eq.neq();
+    let d4 = dom.dims4();
     let cost = KernelCost::new(KernelClass::Other, 1.0, 8.0 * neq as f64, 8.0 * neq as f64);
+    let data = ParSlice::new(field.as_mut_slice());
 
     for (axis, &(skip_lo, skip_hi)) in skip.iter().enumerate().take(dom.eq.ndim()) {
         let n = dom.n[axis];
@@ -90,40 +94,55 @@ pub fn apply_bcs(ctx: &Context, field: &mut StateField, bc: &BcSpec, skip: [(boo
                 continue;
             }
             let kind = if is_hi { bc.hi[axis] } else { bc.lo[axis] };
-            let cfg = LaunchConfig::tuned("s_populate_buffers");
-            ctx.launch(&cfg, cost, plane * ng, |item| {
-                let g = item / plane;
-                let r = item % plane;
-                let (a, b) = (r % t1, r / t1);
-                // (ghost index, source index) along `axis`.
-                // flip: 0 = none, 1 = normal momentum, 2 = all momenta.
-                let (gi, si, flip) = match (kind, is_hi) {
-                    (BcKind::Periodic, false) => (ng - 1 - g, ng + n - 1 - g, 0u8),
-                    (BcKind::Periodic, true) => (ng + n + g, ng + g, 0),
-                    (BcKind::Reflective, false) => (ng - 1 - g, ng + g, 1),
-                    (BcKind::Reflective, true) => (ng + n + g, ng + n - 1 - g, 1),
-                    (BcKind::NoSlip, false) => (ng - 1 - g, ng + g, 2),
-                    (BcKind::NoSlip, true) => (ng + n + g, ng + n - 1 - g, 2),
-                    (BcKind::Transmissive, false) => (ng - 1 - g, ng, 0),
-                    (BcKind::Transmissive, true) => (ng + n + g, ng + n - 1, 0),
-                };
-                let to_coord = |along: usize| -> (usize, usize, usize) {
-                    match axis {
-                        0 => (along, a, b),
-                        1 => (a, along, b),
-                        _ => (a, b, along),
+            // Flat index of (along `axis`, transverse a = 0, b, e), and the
+            // memory stride of the inner transverse index `a`.
+            let at = |along: usize, b: usize, e: usize| match axis {
+                0 => d4.idx(along, 0, b, e),
+                1 => d4.idx(0, along, b, e),
+                _ => d4.idx(0, b, along, e),
+            };
+            let stride = if axis == 0 { d4.n1 } else { 1 };
+            // Gangs split the outer transverse index `b`. Every line along
+            // `axis` is read and written by one gang only, ghost layers in
+            // ascending order, so each line sees the serial sequence of
+            // reads and writes even where a source is itself a ghost.
+            let t0 = Instant::now();
+            let (_, gangs) = ctx.gang_scope(t2, (plane * ng) as u64, |_, slabs| {
+                for b in slabs {
+                    for g in 0..ng {
+                        // (ghost index, source index) along `axis`. flip:
+                        // 0 = none, 1 = normal momentum, 2 = all momenta.
+                        let (gi, si, flip) = match (kind, is_hi) {
+                            (BcKind::Periodic, false) => (ng - 1 - g, ng + n - 1 - g, 0u8),
+                            (BcKind::Periodic, true) => (ng + n + g, ng + g, 0),
+                            (BcKind::Reflective, false) => (ng - 1 - g, ng + g, 1),
+                            (BcKind::Reflective, true) => (ng + n + g, ng + n - 1 - g, 1),
+                            (BcKind::NoSlip, false) => (ng - 1 - g, ng + g, 2),
+                            (BcKind::NoSlip, true) => (ng + n + g, ng + n - 1 - g, 2),
+                            (BcKind::Transmissive, false) => (ng - 1 - g, ng, 0),
+                            (BcKind::Transmissive, true) => (ng + n + g, ng + n - 1, 0),
+                        };
+                        for e in 0..neq {
+                            let is_momentum = (0..dom.eq.ndim()).any(|d| e == dom.eq.mom(d));
+                            let negate =
+                                (flip == 1 && e == dom.eq.mom(axis)) || (flip == 2 && is_momentum);
+                            let (src, dst) = (at(si, b, e), at(gi, b, e));
+                            for a in (0..t1).map(|a| a * stride) {
+                                let v = data.get(src + a);
+                                data.set(dst + a, if negate { -v } else { v });
+                            }
+                        }
                     }
-                };
-                let (gi3, si3) = (to_coord(gi), to_coord(si));
-                for e in 0..neq {
-                    let mut v = field.get(si3.0, si3.1, si3.2, e);
-                    let is_momentum = (0..dom.eq.ndim()).any(|d| e == dom.eq.mom(d));
-                    if (flip == 1 && e == dom.eq.mom(axis)) || (flip == 2 && is_momentum) {
-                        v = -v;
-                    }
-                    field.set(gi3.0, gi3.1, gi3.2, e, v);
                 }
             });
+            ctx.record_external_gangs(
+                "s_populate_buffers",
+                cost,
+                (plane * ng) as u64,
+                gangs as u32,
+                t0,
+                t0.elapsed(),
+            );
         }
     }
 }

@@ -247,7 +247,7 @@ pub fn run_distributed_traced(
                 let bc = &case.bc;
                 let ws_ref = &mut ws;
                 let ctx_ref = &ctx;
-                rk_step(cfg.scheme, dt, &mut q, &mut rk, |q, rhs| {
+                rk_step(ctx_ref, cfg.scheme, dt, &mut q, &mut rk, |q, rhs| {
                     if mode == ExchangeMode::Overlapped {
                         overlapped_halo_rhs(
                             ctx_ref, comm_ref, &cart, q, staging, stats_ref, &cfg.rhs, fluids, bc,
@@ -1090,7 +1090,7 @@ pub fn run_distributed_resilient(
                         let ctx_ref = &ctx;
                         let rhs_cfg = &eff.rhs;
                         let exchange = opts.exchange;
-                        rk_step(eff.scheme, dt, &mut q, &mut rk, |q, rhs| {
+                        rk_step(ctx_ref, eff.scheme, dt, &mut q, &mut rk, |q, rhs| {
                             if fault_ref.is_some() {
                                 return;
                             }
@@ -1484,7 +1484,7 @@ pub fn run_distributed_with_output(
             let bc = &case.bc;
             let ws_ref = &mut ws;
             let ctx_ref = &ctx;
-            rk_step(cfg.scheme, dt, &mut q, &mut rk, |q, rhs| {
+            rk_step(ctx_ref, cfg.scheme, dt, &mut q, &mut rk, |q, rhs| {
                 if mode == ExchangeMode::Overlapped {
                     overlapped_halo_rhs(
                         ctx_ref, comm_ref, &cart, q, staging, stats_ref, &cfg.rhs, fluids, bc,

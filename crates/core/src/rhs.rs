@@ -399,8 +399,7 @@ pub fn compute_rhs(
     // 1. Primitive variables everywhere (ghosts included).
     crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
 
-    rhs.fill(0.0);
-    ws.divu.fill(0.0);
+    zero_accumulators(ctx, rhs, &mut ws.divu);
 
     // 2–6. The per-direction sweeps: pack, WENO reconstruction, Riemann
     // solve, flux-divergence update — as full-grid stages or as one fused
@@ -563,8 +562,7 @@ pub fn rhs_overlap_begin(
         cfg.order.ghost_layers().max(1)
     );
     crate::state::cons_to_prim_field(ctx, fluids, cons, &mut ws.prim);
-    rhs.fill(0.0);
-    ws.divu.fill(0.0);
+    zero_accumulators(ctx, rhs, &mut ws.divu);
     if cfg.mode == RhsMode::Staged {
         ws.ensure_staged();
     }
@@ -1136,6 +1134,18 @@ impl LaneKernel for UpdateKernel<'_> {
         let uhi = L::load(&self.usl[face_hi..]);
         self.dsl
             .add_lanes_strided(cell, self.cell_stride, (uhi - ulo) * inv_dx);
+    }
+}
+
+/// Zero the RHS and the velocity divergence the sweeps accumulate into,
+/// as gang-parallel launches (`s_zero_fill`) of one x-y plane per item.
+fn zero_accumulators(ctx: &Context, rhs: &mut StateField, divu: &mut [f64]) {
+    let d3 = rhs.domain().dims3();
+    let plane = d3.n1 * d3.n2;
+    let cost = KernelCost::new(KernelClass::Other, 0.0, 0.0, 8.0 * plane as f64);
+    let cfg = LaunchConfig::tuned("s_zero_fill");
+    for buf in [rhs.as_mut_slice(), divu] {
+        ctx.launch_chunks(&cfg, cost, buf, plane, |_, c| c.fill(0.0));
     }
 }
 

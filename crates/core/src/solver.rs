@@ -31,7 +31,7 @@ pub enum StepControl {
 }
 use crate::rhs::{compute_rhs, RhsConfig, RhsWorkspace};
 use crate::state::StateField;
-use crate::time::{rk_step, RkWorkspace, TimeScheme};
+use crate::time::{rk_save, rk_stages, TimeScheme};
 
 /// Time-step selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,10 +90,12 @@ pub struct Solver {
     dom: Domain,
     grid: Grid,
     q: StateField,
-    /// Pre-step snapshot of `q` — the `q^n` a rejected step retries from.
+    /// Pre-step snapshot of `q` — the `q^n` a rejected step retries from,
+    /// and the `q0` the RK stages combine with.
     q_save: StateField,
     ws: RhsWorkspace,
-    rk: RkWorkspace,
+    /// RK stage RHS.
+    rhs: StateField,
     ibm: Option<GhostCellIbm>,
     health: HealthConfig,
     recovery: Option<RecoveryPolicy>,
@@ -111,7 +113,7 @@ impl Solver {
         let grid = case.grid();
         let q = case.init_block(&ctx, &dom, &grid, [0, 0, 0]);
         let ws = RhsWorkspace::new(dom, &grid);
-        let rk = RkWorkspace::new(&q);
+        let rhs = StateField::zeros(dom);
         let q_save = q.clone();
         Solver {
             ctx,
@@ -123,7 +125,7 @@ impl Solver {
             q,
             q_save,
             ws,
-            rk,
+            rhs,
             ibm: None,
             health: HealthConfig::default(),
             recovery: None,
@@ -276,12 +278,13 @@ impl Solver {
             bc,
             grid,
             q,
+            q_save,
             ws,
-            rk,
+            rhs,
             ibm,
             ..
         } = self;
-        rk_step(cfg.scheme, dt, q, rk, |q, rhs| {
+        rk_stages(ctx, cfg.scheme, dt, q, q_save, rhs, |q, rhs| {
             apply_bcs(ctx, q, bc, [(false, false); 3]);
             if let Some(ibm) = ibm {
                 ibm.apply(ctx, grid, fluids, q);
@@ -360,10 +363,7 @@ impl Solver {
     pub fn step(&mut self) -> Result<StepOutcome, SolverError> {
         let t0 = Instant::now();
         let _step_span = self.ctx.span("step", Category::Phase);
-        {
-            let Solver { q, q_save, .. } = self;
-            q_save.as_mut_slice().copy_from_slice(q.as_slice());
-        }
+        rk_save(&self.ctx, &self.q, &mut self.q_save);
         let mut retries = 0u32;
         loop {
             let cfg = match &self.recovery {

@@ -88,28 +88,6 @@ impl StateField {
         &self.data
     }
 
-    /// `self = a*x + b*y` elementwise — the SSP-RK stage combination.
-    pub fn lincomb(&mut self, a: f64, x: &StateField, b: f64, y: &StateField) {
-        let out = self.data.as_mut_slice();
-        let xs = x.data.as_slice();
-        let ys = y.data.as_slice();
-        assert_eq!(out.len(), xs.len());
-        assert_eq!(out.len(), ys.len());
-        for ((o, &xv), &yv) in out.iter_mut().zip(xs).zip(ys) {
-            *o = a * xv + b * yv;
-        }
-    }
-
-    /// `self += s * other` elementwise.
-    pub fn axpy(&mut self, s: f64, other: &StateField) {
-        let out = self.data.as_mut_slice();
-        let os = other.data.as_slice();
-        assert_eq!(out.len(), os.len());
-        for (o, &v) in out.iter_mut().zip(os) {
-            *o += s * v;
-        }
-    }
-
     pub fn fill(&mut self, v: f64) {
         self.data.as_mut_slice().fill(v);
     }
@@ -288,20 +266,6 @@ mod tests {
         prim_to_cons_field(&ctx, &fluids, &prim, &mut cons);
         let stats = ctx.ledger().kernel("s_convert_to_conservative").unwrap();
         assert_eq!(stats.items as usize, dom().total_cells());
-    }
-
-    #[test]
-    fn lincomb_and_axpy() {
-        let d = dom();
-        let mut a = StateField::zeros(d);
-        let mut x = StateField::zeros(d);
-        let mut y = StateField::zeros(d);
-        x.fill(2.0);
-        y.fill(3.0);
-        a.lincomb(0.5, &x, 2.0, &y); // 1 + 6 = 7
-        assert!(a.as_slice().iter().all(|&v| v == 7.0));
-        a.axpy(-1.0, &x);
-        assert!(a.as_slice().iter().all(|&v| v == 5.0));
     }
 
     #[test]

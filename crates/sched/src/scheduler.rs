@@ -90,7 +90,10 @@ struct JobEntry {
 pub(crate) enum Command {
     Submit(Box<JobSpec>, mpsc::Sender<Result<u64, SchedError>>),
     Cancel(u64, mpsc::Sender<Result<(), SchedError>>),
-    Status(Option<u64>, mpsc::Sender<Result<Vec<StatusRow>, SchedError>>),
+    Status(
+        Option<u64>,
+        mpsc::Sender<Result<Vec<StatusRow>, SchedError>>,
+    ),
     Metrics(mpsc::Sender<MetricsSnapshot>),
     Drain(mpsc::Sender<MetricsSnapshot>),
     Shutdown(mpsc::Sender<MetricsSnapshot>),

@@ -48,7 +48,12 @@ fn unwritable_out_dir_fails_at_startup_with_exit_3() {
         ])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("writable") || stderr.contains("create") || stderr.contains("directory"),
@@ -74,7 +79,12 @@ fn unwritable_ledger_fails_at_startup_with_exit_3() {
         ])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = fs::remove_dir_all(&base);
 }
 
@@ -106,7 +116,12 @@ fn daemon_end_to_end_over_tcp() {
         let mut line = String::new();
         if stdout.read_line(&mut line).unwrap() == 0 {
             let mut err = String::new();
-            child.stderr.take().unwrap().read_to_string(&mut err).unwrap();
+            child
+                .stderr
+                .take()
+                .unwrap()
+                .read_to_string(&mut err)
+                .unwrap();
             panic!("daemon exited before announcing its address: {err}");
         }
         if let Some(rest) = line.trim().strip_prefix("listening on ") {
@@ -115,7 +130,9 @@ fn daemon_end_to_end_over_tcp() {
     };
 
     let stream = TcpStream::connect(&addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
     let mut roundtrip = |line: &str| -> serde_json::Value {
@@ -150,7 +167,11 @@ fn daemon_end_to_end_over_tcp() {
     assert_eq!(lines.len(), 1, "ledger: {text}");
     let rec: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
     assert_eq!(rec.get("id").and_then(|i| i.as_u64()), Some(id));
-    assert_eq!(rec.get("state").and_then(|s| s.as_str()), Some("done"), "{rec:?}");
+    assert_eq!(
+        rec.get("state").and_then(|s| s.as_str()),
+        Some("done"),
+        "{rec:?}"
+    );
     assert_eq!(rec.get("steps").and_then(|s| s.as_u64()), Some(6));
     let ckpt = rec
         .get("output")

@@ -141,7 +141,7 @@ fn shock_on_stretched_grid_stays_stable_and_conservative_interiorwise() {
             [&widths[0], &widths[1], &widths[2]],
             0.5,
         );
-        rk_step(TimeScheme::Rk3, dt, &mut q, &mut rk, |q, rhs| {
+        rk_step(&ctx, TimeScheme::Rk3, dt, &mut q, &mut rk, |q, rhs| {
             apply_bcs(&ctx, q, &bc, [(false, false); 3]);
             compute_rhs(&ctx, &rhs_cfg, &fluids, q, &mut ws, rhs);
         });
